@@ -115,19 +115,15 @@ void RunSolverComparison(BenchJson& json, size_t num_jobs, double capacity,
   const PreparedWorkload workload = PrepareWorkload(setup);
   const auto predictor = TrainPredictor(workload, setup.seed, epochs);
 
-  // Three-way A/B: legacy serial single-start, the PR-2 static-tier
-  // multi-start driver, and the BAI racing driver (the production default).
-  // The committed `lost_utility_multistart` / `solve_ms_multistart` keys
-  // track the production driver, so CI keeps asserting the racing path's
-  // quality; `*_multistart_static` keeps the static tiers visible for the
-  // racing speedup column.
+  // Two-way A/B: legacy serial single-start vs the BAI racing multi-start
+  // driver (the production default). The committed `lost_utility_multistart`
+  // / `solve_ms_multistart` keys track the production driver, so CI keeps
+  // asserting its quality.
   FaroConfig serial;
   serial.multistart_starts = 1;     // legacy single-start path
   serial.warm_start_cache = false;  // no cross-cycle reuse
   serial.solve_parallelism = 1;     // groups solved one after another
-  FaroConfig static_tiers;  // K starts, warm cache -- racing disabled
-  static_tiers.multistart_racing = false;
-  FaroConfig racing;  // defaults: BAI racing on
+  FaroConfig racing;  // defaults: BAI racing multi-start
 
   struct Row {
     const char* label;
@@ -135,14 +131,12 @@ void RunSolverComparison(BenchJson& json, size_t num_jobs, double capacity,
     const FaroConfig* overrides;
   };
   const Row rows[] = {{"serial single-start", "serial", &serial},
-                      {"multi-start static tiers", "multistart_static", &static_tiers},
                       {"multi-start + BAI racing", "multistart", &racing}};
-  std::printf("\n-- solve cost, %zu jobs, %.0f replicas: racing vs static vs serial --\n",
+  std::printf("\n-- solve cost, %zu jobs, %.0f replicas: racing vs serial --\n",
               num_jobs, capacity);
   std::printf("%-28s %-14s %-12s %-12s %-14s\n", "solver path", "solve ms/cyc",
               "evals/cyc", "lost util", "mean utility");
   double serial_ms = 0.0;
-  double static_ms = 0.0;
   double racing_ms = 0.0;
   for (const Row& row : rows) {
     const TrialAggregate agg =
@@ -156,8 +150,6 @@ void RunSolverComparison(BenchJson& json, size_t num_jobs, double capacity,
     json.Set(std::string("solver_evals_") + row.key, agg.solver_evals_per_cycle_mean);
     if (row.overrides == &serial) {
       serial_ms = agg.solve_ms_per_cycle_mean;
-    } else if (row.overrides == &static_tiers) {
-      static_ms = agg.solve_ms_per_cycle_mean;
     } else {
       racing_ms = agg.solve_ms_per_cycle_mean;
       json.Set("racing_evals_saved_per_cycle", agg.solver_race_evals_saved_per_cycle_mean);
@@ -168,10 +160,6 @@ void RunSolverComparison(BenchJson& json, size_t num_jobs, double capacity,
   if (racing_ms > 0.0) {
     std::printf("per-cycle solve speedup vs serial: %.2fx\n", serial_ms / racing_ms);
     json.Set("solve_speedup", serial_ms / racing_ms);
-  }
-  if (racing_ms > 0.0 && static_ms > 0.0) {
-    std::printf("racing speedup vs static tiers:    %.2fx\n", static_ms / racing_ms);
-    json.Set("racing_speedup", static_ms / racing_ms);
   }
 }
 

@@ -93,29 +93,11 @@ struct FaroConfig {
   int solver_max_evaluations = 4000;
 
   // --- Multi-start solve driver ------------------------------------------
-  // Number of start points fanned across the shared thread pool per Stage-2
-  // solve (warm start, previous solution, capacity-proportional heuristic,
-  // jittered variants). <= 1 selects the legacy serial single-start COBYLA
-  // path (with the fairness pre-solve chain), kept for A/B comparison.
+  // Number of start points raced per Stage-2 solve (warm start, previous
+  // solution, capacity-proportional heuristic, jittered variants; see
+  // src/optim/multistart.h). <= 1 selects the legacy serial single-start
+  // COBYLA path (with the fairness pre-solve chain), kept for A/B comparison.
   size_t multistart_starts = 4;
-  // Also run the NelderMead->AugLag chain from every start. Off by default:
-  // the chain roughly quadruples the solve's evaluation count for a small
-  // additional utility gain, which only pays when idle cores make the extra
-  // tasks free. Turn on for wide machines or offline quality sweeps.
-  bool multistart_alternate = false;
-  // Early-exit: the lowest-indexed feasible converged task whose start was
-  // already near-optimal wins and cancels unstarted higher-indexed tasks
-  // (deterministic; see optim/multistart.h). The stability bar keeps the
-  // steady-state cycles cheap -- one solve confirms the incumbent -- while
-  // load shifts still run the full portfolio and get best-of selection.
-  bool multistart_early_exit = true;
-  // Stability bar for the early exit: an incumbent solve that improves on its
-  // start by at most this relative fraction confirms the incumbent and skips
-  // the rest of the portfolio. Deliberately the same magnitude as
-  // `switch_margin`: an improvement too small to adopt is too small to chase.
-  double multistart_exit_improvement = 0.05;
-  // Relative amplitude of the jittered start variants.
-  double multistart_jitter = 0.35;
   // Thread cap for the solve fan-out (starts and hierarchical groups):
   // 0 = shared pool size, 1 = serial. Solutions are bit-identical at every
   // setting for a fixed seed.
@@ -126,32 +108,6 @@ struct FaroConfig {
   // pre-solve -- the cached solution already sits on the right utility
   // frontier.
   bool warm_start_cache = true;
-  // --- BAI racing (adaptive budget allocation; see src/optim/bai.h) --------
-  // Replace the static full/quarter budget tiers inside the multi-start
-  // driver with best-arm-identification racing: the primary start runs a
-  // short confirmation solve first (early-exit bar unchanged), scouts run
-  // probe solves, and only arms whose optimistic value could still beat the
-  // leader are extended to their full tier budget. Deterministic and
-  // bit-identical at every `solve_parallelism`; see optim/multistart.h for
-  // the contract. Ignored when `multistart_alternate` is on (the race runs
-  // COBYLA arms only).
-  bool multistart_racing = true;
-  // Probe budget per scout arm; 0 = auto (max(64, 2*dim + 24)).
-  int racing_probe_evals = 0;
-  // Confirmation budget for the primary start; 0 runs the full tier up
-  // front (no confirmation shortcut). The default caps the incumbent at 400
-  // evaluations: COBYLA's late tail polishes fractional digits the integer
-  // exchange polish repairs anyway, and on the 40-job tab08 shape this cuts
-  // per-cycle evaluations ~1.5x while holding lost utility within 4e-3 of
-  // the static-tier driver.
-  int racing_confirm_evals = 400;
-  // Re-run the primary at its full tier when the confirmation misses the
-  // stability bar. Off by default: the truncated incumbent still anchors the
-  // race in shift cycles, where the scout arms cover basin changes -- paying
-  // the full tier again costs more than the whole racing saving.
-  bool racing_confirm_rerun = false;
-  // Stopping-rule confidence for pruning scout arms.
-  double racing_delta = 0.05;
 
   // --- Degradation ladder (robustness under faults) ------------------------
   // Wall-clock budget for one Stage-2 solve; 0 disables (the default). On a
@@ -169,13 +125,6 @@ struct FaroConfig {
   // therefore perturbs fault-free runs and is an explicit opt-in (the chaos
   // bench arms it at 8).
   double forecast_max_jump = 0.0;
-  // Legacy knob, kept for config-surface compatibility: per-job retry of
-  // missed scale-ups moved from the policy's FastReact into the reconciling
-  // actuator (src/actuate/reconciler.h, SimConfig::reconciler). The engines
-  // fold the reconciler's repair count into the policy's actuation_retries
-  // telemetry so solver CSVs stay comparable. This field is validated but
-  // otherwise unread.
-  double actuation_retry_backoff_s = 20.0;
   // Off-cadence re-solve when cluster capacity shrinks by more than this
   // fraction since the last solve (node crash/drain). <= 0 disables.
   double capacity_resolve_threshold = 0.05;

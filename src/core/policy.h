@@ -60,7 +60,7 @@ struct SolverTelemetry {
   uint64_t early_exits = 0;            // solves won by the early-exit rule
   // --- BAI racing (multi-start arms race; see src/optim/bai.h) -------------
   uint64_t race_rounds = 0;            // probe + extension rounds across solves
-  uint64_t race_evals_saved = 0;       // evaluations saved vs the static tiers
+  uint64_t race_evals_saved = 0;       // evaluations saved vs every arm at its tier cap
   uint64_t warm_start_hits = 0;        // solves starting from the cached solution
   uint64_t wins_warm_current = 0;      // winner provenance counts
   uint64_t wins_prev_solution = 0;

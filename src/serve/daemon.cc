@@ -324,14 +324,6 @@ RunResult ReplayDaemon::Run() {
     const ReconcileTelemetry t = actuator_->telemetry();
     actuator_generation_gauge_->Set(static_cast<double>(actuator_->generation()));
     actuator_fences_gauge_->Set(static_cast<double>(t.fence_rejections));
-    std::fprintf(stderr,
-                 "faro_serve: actuator %llu generations (%llu converged, "
-                 "%llu superseded, %llu fenced), %llu retries\n",
-                 static_cast<unsigned long long>(t.generations_published),
-                 static_cast<unsigned long long>(t.generations_converged),
-                 static_cast<unsigned long long>(t.generations_superseded),
-                 static_cast<unsigned long long>(t.fence_rejections),
-                 static_cast<unsigned long long>(t.retries));
   }
   complete_.store(true, std::memory_order_release);
 

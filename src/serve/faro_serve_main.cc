@@ -267,6 +267,17 @@ int Main(int argc, char** argv) {
                result.cluster_lost_utility,
                static_cast<unsigned long long>(result.cluster_burn_alerts_fast),
                static_cast<unsigned long long>(result.cluster_burn_alerts_slow));
+  if (const AsyncActuator* actuator = daemon.actuator(); actuator != nullptr) {
+    const ReconcileTelemetry t = actuator->telemetry();
+    std::fprintf(stderr,
+                 "faro_serve: actuator %llu generations (%llu converged, "
+                 "%llu superseded, %llu fenced), %llu retries\n",
+                 static_cast<unsigned long long>(t.generations_published),
+                 static_cast<unsigned long long>(t.generations_converged),
+                 static_cast<unsigned long long>(t.generations_superseded),
+                 static_cast<unsigned long long>(t.fence_rejections),
+                 static_cast<unsigned long long>(t.retries));
+  }
   g_daemon = nullptr;
   return 0;
 }

@@ -1,14 +1,16 @@
 // Best-arm-identification core: closed-form checks of the unknown-variance
 // stopping rule, BaiRace bookkeeping, and the multi-start racing driver's
-// determinism + static-tier equivalence contracts.
+// determinism and COBYLA prefix-property contracts.
 //
 // The RacingDeterminismTest suite runs under TSan in CI (ctest -R
 // Determinism) alongside the harness determinism tests: the scout-probe
 // fan-out is the only parallel section of the racing driver, and the winner
 // must be bit-identical at any max_parallelism.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -194,7 +196,7 @@ TEST(BaiRaceTest, TelemetryMergesWithPlusEquals) {
   EXPECT_EQ(b.evaluations_saved, 600u);
 }
 
-// --- Racing driver: determinism + equivalence with the static tiers ---
+// --- Racing driver: determinism + the prefix property ---
 
 // The convex quadratic the multi-start tests use: optimum (2, 2), f = 2 on
 // the constraint x0 + x1 <= 4.
@@ -210,8 +212,6 @@ Problem MakeConstrainedQuadratic() {
 MultiStartConfig RacingConfig() {
   MultiStartConfig config;
   config.seed = 3;
-  config.use_alternate = false;  // racing covers the COBYLA chain
-  config.racing = true;
   return config;
 }
 
@@ -229,7 +229,6 @@ TEST(RacingDeterminismTest, WinnerBitIdenticalAcrossParallelism) {
       results.push_back(MultiStartSolve(p, starts, 4, config));
     }
     for (size_t k = 1; k < results.size(); ++k) {
-      EXPECT_TRUE(results[k].raced);
       EXPECT_EQ(results[0].winner_start, results[k].winner_start);
       EXPECT_EQ(results[0].early_exit, results[k].early_exit);
       EXPECT_EQ(results[0].evaluations, results[k].evaluations);
@@ -246,30 +245,63 @@ TEST(RacingDeterminismTest, WinnerBitIdenticalAcrossParallelism) {
   }
 }
 
-TEST(RacingDeterminismTest, RacedWinnerMatchesStaticTiers) {
-  // On a problem where COBYLA converges inside every tier, racing extends
-  // each surviving scout to the same budget the static driver used, so the
-  // winning start and its solution must be bit-identical -- the ISSUE's
-  // quality-parity contract in its purest form.
+void ExpectBitIdentical(const OptimResult& got, const OptimResult& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.x.size(), want.x.size()) << what;
+  for (size_t d = 0; d < got.x.size(); ++d) {
+    EXPECT_EQ(got.x[d], want.x[d]) << what << " dim " << d;
+  }
+  EXPECT_EQ(got.value, want.value) << what;
+  EXPECT_EQ(got.max_violation, want.max_violation) << what;
+  EXPECT_EQ(got.evaluations, want.evaluations) << what;
+}
+
+TEST(RacingDeterminismTest, RankableArmsMatchDirectCobylaRuns) {
+  // COBYLA consults max_evaluations only to stop, so every final arm of the
+  // race is a prefix run: bit-identical to calling Cobyla directly from the
+  // clipped start at the arm's tier cap (the primary start the full budget,
+  // scouts a quarter of it with a floor of 200).
   const Problem p = MakeConstrainedQuadratic();
   MultiStartConfig config = RacingConfig();
   config.early_exit = false;
-  std::vector<StartPoint> starts;
-  starts.push_back({{1.0, 1.0}, StartKind::kWarmCurrent});
-  starts.push_back({{9.0, 0.5}, StartKind::kHeuristic});
-  const MultiStartResult raced = MultiStartSolve(p, starts, 4, config);
-  config.racing = false;
-  const MultiStartResult full = MultiStartSolve(p, starts, 4, config);
-  EXPECT_TRUE(raced.raced);
-  EXPECT_FALSE(full.raced);
-  EXPECT_EQ(raced.winner_start, full.winner_start);
-  EXPECT_EQ(raced.best.value, full.best.value);
-  ASSERT_EQ(raced.best.x.size(), full.best.x.size());
-  for (size_t d = 0; d < raced.best.x.size(); ++d) {
-    EXPECT_EQ(raced.best.x[d], full.best.x[d]) << "dim " << d;
+  const std::vector<StartPoint> starts = {{{1.0, 1.0}, StartKind::kWarmCurrent},
+                                          {{9.0, 0.5}, StartKind::kHeuristic},
+                                          {{8.0, 8.0}, StartKind::kHeuristic},
+                                          {{-3.0, 12.0}, StartKind::kHeuristic},
+                                          {{0.5, 6.0}, StartKind::kHeuristic}};
+  const int full_cap = config.cobyla.max_evaluations;
+  const int scout_cap = std::max(200, full_cap / 4);
+  std::vector<OptimResult> direct;
+  double best_value = std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < starts.size(); ++s) {
+    std::vector<double> x0 = starts[s].x;
+    p.ClipToBounds(x0);
+    CobylaConfig cobyla = config.cobyla;
+    cobyla.max_evaluations = s == 0 ? full_cap : scout_cap;
+    direct.push_back(Cobyla(p, x0, cobyla));
+    if (direct.back().max_violation <= config.feasibility_tolerance) {
+      best_value = std::min(best_value, direct.back().value);
+    }
   }
-  EXPECT_NEAR(raced.best.value, 2.0, 0.05);
-  EXPECT_EQ(raced.race.arms_total, raced.starts_total);
+
+  // The whole portfolio with early exit off: nothing is pruned on this convex
+  // problem, so every arm is final and the winner is the best direct run.
+  const MultiStartResult all = MultiStartSolve(p, starts, 0, config);
+  EXPECT_EQ(all.starts_pruned, 0u);
+  EXPECT_EQ(all.starts_launched, starts.size());
+  ExpectBitIdentical(all.best, direct[all.winner_start], "portfolio winner");
+  EXPECT_EQ(all.best.value, best_value);
+  EXPECT_NEAR(all.best.value, 2.0, 0.05);
+
+  // Each scout in turn as the winner: a 5-evaluation confirmation prefix
+  // leaves the primary start short of the optimum, so the scout's final arm
+  // wins the two-arm race and must equal its direct run.
+  config.racing_confirm_evals = 5;
+  for (size_t s = 1; s < starts.size(); ++s) {
+    const MultiStartResult pair = MultiStartSolve(p, {starts[0], starts[s]}, 0, config);
+    ASSERT_EQ(pair.winner_start, 1u) << "scout " << s;
+    ExpectBitIdentical(pair.best, direct[s], "scout " + std::to_string(s));
+  }
 }
 
 TEST(RacingDeterminismTest, EarlyExitCancelsScoutsBeforeTheyRun) {
@@ -282,7 +314,6 @@ TEST(RacingDeterminismTest, EarlyExitCancelsScoutsBeforeTheyRun) {
   std::vector<StartPoint> starts;
   starts.push_back({{2.0, 2.0}, StartKind::kWarmCurrent});
   const MultiStartResult result = MultiStartSolve(p, starts, 5, config);
-  EXPECT_TRUE(result.raced);
   EXPECT_TRUE(result.early_exit);
   EXPECT_EQ(result.winner_start, 0u);
   EXPECT_EQ(result.starts_launched, 1u);

@@ -391,6 +391,29 @@ TEST(ServeDeterminismTest, LiveActuatorRacesReplayWithoutTearingOrDivergence) {
   EXPECT_NE(body.find("\"converged\":true"), std::string::npos) << body;
 }
 
+// The daemon is a library: a live-actuator run reports through /actuator and
+// the accessor, never by writing to the embedding program's stderr (the
+// faro_serve CLI prints its own summary line).
+TEST(ServeDaemonTest, LiveActuatorRunWritesNoActuatorLineToStderr) {
+  ASSERT_TRUE(kForcePoolSize);
+  const ExperimentSetup setup = SmallSetup();
+  PreparedWorkload workload = PrepareWorkload(setup);
+  Truncate(workload, 30);
+  const SimConfig config = BuildSimConfig(setup, setup.seed);
+  const auto policy = MakePolicy("Faro-FairSum", nullptr);
+  ServeOptions options;
+  options.batch = true;
+  options.live_actuator = true;
+  ReplayDaemon daemon(config, workload.jobs, *policy, options);
+
+  testing::internal::CaptureStderr();
+  daemon.Run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("actuator"), std::string::npos) << err;
+  ASSERT_NE(daemon.actuator(), nullptr);
+  EXPECT_GT(daemon.actuator()->telemetry().generations_published, 0u);
+}
+
 // Stepping in arbitrary small increments is a pure refactor of Run on BOTH
 // engines: Init + StepUntil(+inf) + Finish IS the batch loop, and any finer
 // until_s schedule must land on the same result bit for bit.

@@ -119,14 +119,6 @@ TEST(SolverDeterminismTest, HierarchicalSolveBitIdenticalAcrossThreadCounts) {
   CheckAcrossParallelism(config, /*num_jobs=*/12, /*capacity=*/40.0, "hierarchical");
 }
 
-TEST(SolverDeterminismTest, EarlyExitToggleDoesNotBreakDeterminism) {
-  // Early exit may select a different winner than the full sweep, but each
-  // setting must itself be schedule-invariant (default is on).
-  FaroConfig config;
-  config.multistart_early_exit = false;
-  CheckAcrossParallelism(config, /*num_jobs=*/10, /*capacity=*/36.0, "no-early-exit");
-}
-
 TEST(SolverDeterminismTest, LegacySerialPathUnchangedByParallelismKnob) {
   // The <=1-start legacy path never fans out; the knob must be inert.
   FaroConfig config;
