@@ -36,11 +36,24 @@ class CobylaSolver {
     }
     m_ = problem_.num_constraints() + bound_lo_.size() + bound_hi_.size();
     start_.assign(x0.begin(), x0.end());
+    lu_ = Matrix(n_, n_);
+    grad_ = Matrix(n_, m_ + 1);
+    model_.resize(m_ + 1);
+    current_.resize(n_);
+    best_.resize(n_);
+    subgrad_.resize(n_);
   }
 
   OptimResult Solve();
 
  private:
+  // The linear models at one step d from simplex_[0].
+  struct ModelPoint {
+    double objective;  // g.d
+    double worst;      // min_i c_hat_i(d); +inf when m_ == 0 or all are NaN
+    size_t active;     // first constraint attaining `worst`
+  };
+
   void Evaluate(Vertex& v);
   double MaxViolationOf(const Vertex& v) const;
   double Merit(const Vertex& v) const { return v.f + mu_ * MaxViolationOf(v); }
@@ -49,9 +62,16 @@ class CobylaSolver {
   // numerically degenerate.
   bool FitModels();
 
+  // Evaluates every linear model at `step` in one pass over grad_.
+  ModelPoint EvaluateModels(std::span<const double> step);
+  double SubMerit(const ModelPoint& p) const {
+    return p.objective + mu_ * std::max(0.0, -p.worst);
+  }
+
   // Solves min g.d + mu * max(0, -min_i(c_i + a_i.d)) over ||d|| <= rho via
-  // two-phase projected subgradient. Returns the step in `d`.
-  void SolveSubproblem(double rho, std::vector<double>& d) const;
+  // two-phase projected subgradient. Leaves the step in best_ and returns its
+  // model merit, i.e. the merit the linear models predict for the step.
+  double SolveSubproblem(double rho);
 
   // Replaces the vertex farthest from the best with a fresh point at distance
   // rho along the least-covered coordinate direction, restoring geometry.
@@ -66,18 +86,29 @@ class CobylaSolver {
   std::vector<double> start_;
 
   std::vector<Vertex> simplex_;
-  // Linear models around simplex_[0].
-  std::vector<double> grad_f_;
-  Matrix grad_c_;  // m_ x n_
+  // Linear models around simplex_[0], transposed: column 0 of grad_ is the
+  // objective gradient g and column 1 + i the gradient a_i of constraint i.
+  Matrix grad_;  // n_ x (m_ + 1)
   double mu_ = 1.0;
   int evaluations_ = 0;
   size_t geometry_coordinate_ = 0;
+
+  // Scratch, sized once per solve.
+  Matrix lu_;  // factored simplex-difference matrix
+  std::vector<size_t> pivots_;
+  std::vector<double> model_;  // g.d, then a_i.d for every constraint
+  std::vector<double> current_;
+  std::vector<double> best_;
+  std::vector<double> subgrad_;
+  Vertex candidate_;
 };
 
 void CobylaSolver::Evaluate(Vertex& v) {
+  // Reserve before Constraints sizes c to the problem constraints, so the
+  // bound rows never reallocate.
+  v.c.reserve(m_);
   v.f = problem_.Objective(v.x);
   problem_.Constraints(v.x, v.c);
-  v.c.reserve(m_);
   for (const size_t j : bound_lo_) {
     v.c.push_back(v.x[j] - problem_.lower()[j]);
   }
@@ -96,49 +127,41 @@ double CobylaSolver::MaxViolationOf(const Vertex& v) const {
 }
 
 bool CobylaSolver::FitModels() {
-  Matrix d(n_, n_);
   for (size_t j = 0; j < n_; ++j) {
     for (size_t k = 0; k < n_; ++k) {
-      d(j, k) = simplex_[j + 1].x[k] - simplex_[0].x[k];
+      lu_(j, k) = simplex_[j + 1].x[k] - simplex_[0].x[k];
     }
   }
-  std::vector<double> rhs(n_);
-  for (size_t j = 0; j < n_; ++j) {
-    rhs[j] = simplex_[j + 1].f - simplex_[0].f;
-  }
-  if (!LuSolve(d, rhs, grad_f_)) {
+  if (!LuFactor(lu_, pivots_)) {
     return false;
   }
-  grad_c_ = Matrix(m_, n_);
-  std::vector<double> gi;
-  for (size_t i = 0; i < m_; ++i) {
-    for (size_t j = 0; j < n_; ++j) {
-      rhs[j] = simplex_[j + 1].c[i] - simplex_[0].c[i];
-    }
-    if (!LuSolve(d, rhs, gi)) {
-      return false;
-    }
-    for (size_t k = 0; k < n_; ++k) {
-      grad_c_(i, k) = gi[k];
+  // One right-hand side per model: the value differences along each edge.
+  for (size_t j = 0; j < n_; ++j) {
+    const Vertex& vertex = simplex_[j + 1];
+    grad_(j, 0) = vertex.f - simplex_[0].f;
+    for (size_t i = 0; i < m_; ++i) {
+      grad_(j, i + 1) = vertex.c[i] - simplex_[0].c[i];
     }
   }
+  LuSolveFactored(lu_, pivots_, grad_);
   return true;
 }
 
-void CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) const {
-  d.assign(n_, 0.0);
-  const Vertex& base = simplex_[0];
-
-  auto model_min_constraint = [&](std::span<const double> step) {
-    double worst = kInf;
-    for (size_t i = 0; i < m_; ++i) {
-      worst = std::min(worst, base.c[i] + Dot(grad_c_.row(i), step));
+CobylaSolver::ModelPoint CobylaSolver::EvaluateModels(std::span<const double> step) {
+  MultiplyTransposed(grad_, step, model_);
+  const std::vector<double>& base_c = simplex_[0].c;
+  ModelPoint p{model_[0], kInf, 0};
+  for (size_t i = 0; i < m_; ++i) {
+    const double value = base_c[i] + model_[i + 1];
+    if (value < p.worst) {
+      p.worst = value;
+      p.active = i;
     }
-    return m_ == 0 ? 0.0 : worst;
-  };
-  auto sub_merit = [&](std::span<const double> step) {
-    return Dot(grad_f_, step) + mu_ * std::max(0.0, -model_min_constraint(step));
-  };
+  }
+  return p;
+}
+
+double CobylaSolver::SolveSubproblem(double rho) {
   auto project = [&](std::vector<double>& step) {
     const double norm = Norm2(step);
     if (norm > rho) {
@@ -149,85 +172,73 @@ void CobylaSolver::SolveSubproblem(double rho, std::vector<double>& d) const {
     }
   };
 
-  std::vector<double> current(n_, 0.0);
-  std::vector<double> best = current;
-  double best_merit = sub_merit(best);
-  std::vector<double> subgrad(n_);
+  std::ranges::fill(current_, 0.0);
+  std::ranges::fill(best_, 0.0);
+  // `at` always holds the models at current_: each iteration's subgradient
+  // reuses the pass that scored the previous step.
+  ModelPoint at = EvaluateModels(current_);
+  double best_merit = SubMerit(at);
 
   // Phase 1: if the base point violates the linearised constraints, descend
   // pure violation first so phase 2 starts from a (model-)feasible region.
-  if (m_ > 0 && model_min_constraint(current) < 0.0) {
+  if (at.worst < 0.0) {
     for (int it = 1; it <= 40; ++it) {
-      // Subgradient of -min_i c_hat_i: negative gradient of the active one.
-      double worst = kInf;
-      size_t active = 0;
-      for (size_t i = 0; i < m_; ++i) {
-        const double value = base.c[i] + Dot(grad_c_.row(i), current);
-        if (value < worst) {
-          worst = value;
-          active = i;
-        }
-      }
-      if (worst >= 0.0) {
+      if (at.worst >= 0.0) {
         break;
       }
+      // Subgradient of -min_i c_hat_i: negative gradient of the active one.
       for (size_t k = 0; k < n_; ++k) {
-        subgrad[k] = -grad_c_(active, k);
+        subgrad_[k] = -grad_(k, at.active + 1);
       }
-      const double norm = Norm2(subgrad);
+      const double norm = Norm2(subgrad_);
       if (norm < 1e-14) {
         break;
       }
       const double step_len = rho / (2.0 * std::sqrt(static_cast<double>(it)));
       for (size_t k = 0; k < n_; ++k) {
-        current[k] -= step_len * subgrad[k] / norm;
+        current_[k] -= step_len * subgrad_[k] / norm;
       }
-      project(current);
-      if (sub_merit(current) < best_merit) {
-        best_merit = sub_merit(current);
-        best = current;
+      project(current_);
+      at = EvaluateModels(current_);
+      const double merit = SubMerit(at);
+      if (merit < best_merit) {
+        best_merit = merit;
+        best_ = current_;
       }
     }
-    current = best;
+    current_ = best_;
+    at = EvaluateModels(current_);
   }
 
   // Phase 2: projected subgradient on the merit model.
   const int iterations = 60 + static_cast<int>(10 * n_);
   for (int it = 1; it <= iterations; ++it) {
     // Subgradient of g.d + mu * max(0, -min_i c_hat_i).
-    subgrad = grad_f_;
-    if (m_ > 0) {
-      double worst = kInf;
-      size_t active = 0;
-      for (size_t i = 0; i < m_; ++i) {
-        const double value = base.c[i] + Dot(grad_c_.row(i), current);
-        if (value < worst) {
-          worst = value;
-          active = i;
-        }
-      }
-      if (worst < 0.0) {
-        for (size_t k = 0; k < n_; ++k) {
-          subgrad[k] -= mu_ * grad_c_(active, k);
-        }
+    for (size_t k = 0; k < n_; ++k) {
+      subgrad_[k] = grad_(k, 0);
+    }
+    if (at.worst < 0.0) {
+      for (size_t k = 0; k < n_; ++k) {
+        subgrad_[k] -= mu_ * grad_(k, at.active + 1);
       }
     }
-    const double norm = Norm2(subgrad);
+    const double norm = Norm2(subgrad_);
     if (norm < 1e-14) {
       break;
     }
     const double step_len = rho / std::sqrt(static_cast<double>(it));
     for (size_t k = 0; k < n_; ++k) {
-      current[k] -= step_len * subgrad[k] / norm;
+      current_[k] -= step_len * subgrad_[k] / norm;
     }
-    project(current);
-    const double merit = sub_merit(current);
+    project(current_);
+    at = EvaluateModels(current_);
+    const double merit = SubMerit(at);
     if (merit < best_merit) {
       best_merit = merit;
-      best = current;
+      best_ = current_;
     }
   }
-  d = best;
+  return best_merit;
 }
 
 void CobylaSolver::GeometryStep(double rho) {
@@ -245,13 +256,12 @@ void CobylaSolver::GeometryStep(double rho) {
       farthest = j;
     }
   }
-  Vertex fresh;
-  fresh.x = simplex_[0].x;
+  candidate_.x = simplex_[0].x;
   const size_t coord = geometry_coordinate_ % n_;
   geometry_coordinate_++;
-  fresh.x[coord] += rho;
-  Evaluate(fresh);
-  simplex_[farthest] = std::move(fresh);
+  candidate_.x[coord] += rho;
+  Evaluate(candidate_);
+  std::swap(simplex_[farthest], candidate_);
 }
 
 OptimResult CobylaSolver::Solve() {
@@ -267,7 +277,6 @@ OptimResult CobylaSolver::Solve() {
 
   int stall_count = 0;
   bool converged = false;
-  std::vector<double> d;
   while (evaluations_ < config_.max_evaluations) {
     // Keep the best (lowest merit) vertex at index 0.
     size_t best = 0;
@@ -295,17 +304,12 @@ OptimResult CobylaSolver::Solve() {
       continue;
     }
 
-    SolveSubproblem(rho, d);
+    // Predicted merit reduction from the linear models.
+    const double predicted_merit = SolveSubproblem(rho);
+    const std::vector<double>& d = best_;
     const double step_norm = Norm2(d);
 
     const Vertex& base = simplex_[0];
-    // Predicted merit reduction from the linear models.
-    double predicted_violation = 0.0;
-    for (size_t i = 0; i < m_; ++i) {
-      predicted_violation =
-          std::max(predicted_violation, -(base.c[i] + Dot(grad_c_.row(i), d)));
-    }
-    const double predicted_merit = Dot(grad_f_, d) + mu_ * predicted_violation;
     const double base_merit_excess = mu_ * MaxViolationOf(base);
     const double predicted_reduction = base_merit_excess - predicted_merit;
 
@@ -319,21 +323,20 @@ OptimResult CobylaSolver::Solve() {
       continue;
     }
 
-    Vertex candidate;
-    candidate.x = base.x;
+    candidate_.x = base.x;
     for (size_t k = 0; k < n_; ++k) {
-      candidate.x[k] += d[k];
+      candidate_.x[k] += d[k];
     }
-    Evaluate(candidate);
+    Evaluate(candidate_);
 
     // Penalty-parameter update (before acceptance, so the candidate is judged
     // with the corrected weight): if the step trades feasibility for
     // objective, mu must outweigh the exchange rate or the merit function
     // would reward walking ever deeper into the infeasible region.
-    const double candidate_violation = MaxViolationOf(candidate);
+    const double candidate_violation = MaxViolationOf(candidate_);
     const double base_violation = MaxViolationOf(base);
     if (candidate_violation > base_violation + 1e-12) {
-      const double objective_gain = base.f - candidate.f;
+      const double objective_gain = base.f - candidate_.f;
       if (objective_gain > 0.0) {
         const double needed = 2.0 * objective_gain / (candidate_violation - base_violation);
         if (needed > mu_) {
@@ -349,8 +352,8 @@ OptimResult CobylaSolver::Solve() {
         worst = j;
       }
     }
-    if (Merit(candidate) < Merit(simplex_[worst])) {
-      simplex_[worst] = std::move(candidate);
+    if (Merit(candidate_) < Merit(simplex_[worst])) {
+      std::swap(simplex_[worst], candidate_);
       if (Merit(simplex_[worst]) < Merit(simplex_[0])) {
         stall_count = 0;
       }

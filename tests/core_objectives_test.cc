@@ -204,5 +204,33 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ObjectiveKindParamTest,
                                            ObjectiveKind::kFairSum, ObjectiveKind::kPenaltySum,
                                            ObjectiveKind::kPenaltyFairSum));
 
+// Pins COBYLA's exact trajectory on the relaxed 10-job FairSum Stage-2
+// problem that bench_micro_kernels' BM_CobylaStage2Solve times: any change
+// to the solver's floating-point operation order shows up here.
+TEST(CobylaStage2Test, RelaxedFairSumTrajectoryPinned) {
+  std::vector<JobContext> contexts(10);
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    contexts[i].spec.processing_time = 0.18;
+    contexts[i].spec.slo = 0.72;
+    contexts[i].predicted_load.assign(6, 10.0 + 3.0 * static_cast<double>(i));
+  }
+  ClusterObjectiveConfig config;
+  config.kind = ObjectiveKind::kFairSum;
+  const ClusterObjective objective(std::move(contexts), ClusterResources{36.0, 36.0}, config);
+  CobylaConfig cobyla;
+  cobyla.rho_begin = 2.0;
+  cobyla.rho_end = 1e-3;
+  const auto result = Cobyla(objective.BuildProblem(), objective.InitialPoint(), cobyla);
+  const std::vector<double> expected_x{
+      0x1.00008e5a1b8d3p+0, 0x1.4f01b179d3a1bp+0, 0x1.80578f6965549p+0, 0x1.a256247166fbcp+0,
+      0x1.bb2468aa03949p+0, 0x1.cda5e8a976191p+0, 0x1.dc9c27139ffd8p+0, 0x1.e8790fa0b346p+0,
+      0x1.f23a4508dcea1p+0, 0x1.fa642ed306211p+0};
+  EXPECT_EQ(result.x, expected_x);
+  EXPECT_EQ(result.value, -0x1.5fbf34f6da202p-15);
+  EXPECT_EQ(result.max_violation, 0.0);
+  EXPECT_EQ(result.evaluations, 191);
+  EXPECT_TRUE(result.converged);
+}
+
 }  // namespace
 }  // namespace faro

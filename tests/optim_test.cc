@@ -1,5 +1,8 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +49,161 @@ TEST(LinAlgTest, SingularDetected) {
   a(1, 1) = 4.0;
   std::vector<double> x;
   EXPECT_FALSE(LuSolve(a, std::vector<double>{1.0, 2.0}, x));
+}
+
+// The single-shot LU solve that LuFactor + LuSolveFactored replaced: copies
+// A, eliminates with partial pivoting (swapping whole rows) while carrying
+// one right-hand side along, then back-substitutes. Kept verbatim as the
+// oracle for the factored path.
+bool ReferenceLuSolve(const Matrix& a, std::span<const double> b, std::vector<double>& x) {
+  const size_t n = a.rows();
+  if (n == 0 || a.cols() != n || b.size() != n) {
+    return false;
+  }
+  Matrix lu = a;
+  std::vector<double> rhs(b.begin(), b.end());
+  for (size_t col = 0; col < n; ++col) {
+    size_t pivot = col;
+    double best = std::abs(lu(col, col));
+    for (size_t r = col + 1; r < n; ++r) {
+      const double mag = std::abs(lu(r, col));
+      if (mag > best) {
+        best = mag;
+        pivot = r;
+      }
+    }
+    if (best < 1e-14) {
+      return false;
+    }
+    if (pivot != col) {
+      for (size_t c = 0; c < n; ++c) {
+        std::swap(lu(pivot, c), lu(col, c));
+      }
+      std::swap(rhs[pivot], rhs[col]);
+    }
+    for (size_t r = col + 1; r < n; ++r) {
+      const double factor = lu(r, col) / lu(col, col);
+      lu(r, col) = 0.0;
+      for (size_t c = col + 1; c < n; ++c) {
+        lu(r, c) -= factor * lu(col, c);
+      }
+      rhs[r] -= factor * rhs[col];
+    }
+  }
+  x.assign(n, 0.0);
+  for (size_t ri = n; ri-- > 0;) {
+    double sum = rhs[ri];
+    for (size_t c = ri + 1; c < n; ++c) {
+      sum -= lu(ri, c) * x[c];
+    }
+    x[ri] = sum / lu(ri, ri);
+  }
+  return true;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Random n x n matrix. With `swap_every_column`, entry (c + 1) % n of column
+// c dominates, so partial pivoting swaps rows col and col + 1 at every column
+// but the last.
+Matrix RandomMatrix(size_t n, bool swap_every_column, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> uniform(-1.0, 1.0);
+  Matrix a(n, n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      a(r, c) = uniform(rng);
+      if (swap_every_column) {
+        a(r, c) *= 0.1;
+        if (r == (c + 1) % n) {
+          a(r, c) += 10.0 + uniform(rng);
+        }
+      }
+    }
+  }
+  return a;
+}
+
+TEST(LinAlgTest, FactorSolveBitIdenticalToReference) {
+  std::mt19937_64 rng(20250419);
+  std::uniform_real_distribution<double> uniform(-5.0, 5.0);
+  for (size_t n = 1; n <= 40; ++n) {
+    for (const bool swap_every_column : {false, true}) {
+      const Matrix a = RandomMatrix(n, swap_every_column, rng);
+      Matrix lu = a;
+      std::vector<size_t> pivots;
+      ASSERT_TRUE(LuFactor(lu, pivots)) << n;
+      if (swap_every_column) {
+        for (size_t col = 0; col + 1 < n; ++col) {
+          ASSERT_EQ(pivots[col], col + 1) << "n=" << n << " col=" << col;
+        }
+      }
+      for (const size_t rhs_count : {size_t{1}, size_t{3}, size_t{8}}) {
+        Matrix b(n, rhs_count);
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t j = 0; j < rhs_count; ++j) {
+            b(r, j) = uniform(rng);
+          }
+        }
+        Matrix solved = b;
+        LuSolveFactored(lu, pivots, solved);
+        for (size_t j = 0; j < rhs_count; ++j) {
+          std::vector<double> column(n);
+          for (size_t r = 0; r < n; ++r) {
+            column[r] = b(r, j);
+          }
+          std::vector<double> expected;
+          std::vector<double> one_shot;
+          ASSERT_TRUE(ReferenceLuSolve(a, column, expected));
+          ASSERT_TRUE(LuSolve(a, column, one_shot));
+          for (size_t r = 0; r < n; ++r) {
+            EXPECT_EQ(Bits(solved(r, j)), Bits(expected[r])) << "n=" << n << " r=" << r;
+            EXPECT_EQ(Bits(one_shot[r]), Bits(expected[r])) << "n=" << n << " r=" << r;
+          }
+        }
+      }
+    }
+    if (n < 2) {
+      continue;
+    }
+    // Last row duplicating the first: rank n - 1, rejected by both.
+    Matrix singular = RandomMatrix(n, false, rng);
+    for (size_t c = 0; c < n; ++c) {
+      singular(n - 1, c) = singular(0, c);
+    }
+    const std::vector<double> b(n, 1.0);
+    std::vector<double> x{42.0};
+    EXPECT_FALSE(ReferenceLuSolve(singular, b, x)) << n;
+    EXPECT_FALSE(LuSolve(singular, b, x)) << n;
+    EXPECT_EQ(x, std::vector<double>{42.0});  // untouched on failure
+    std::vector<size_t> pivots;
+    EXPECT_FALSE(LuFactor(singular, pivots)) << n;
+  }
+}
+
+TEST(LinAlgTest, MultiplyTransposedBitIdenticalToDot) {
+  std::mt19937_64 rng(99);
+  std::uniform_real_distribution<double> uniform(-3.0, 3.0);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{31}}) {
+    for (const size_t m : {size_t{0}, size_t{1}, size_t{5}, size_t{23}}) {
+      Matrix at(n, m);
+      std::vector<double> x(n);
+      for (size_t k = 0; k < n; ++k) {
+        x[k] = uniform(rng);
+        for (size_t i = 0; i < m; ++i) {
+          at(k, i) = uniform(rng);
+        }
+      }
+      std::vector<double> out(m, -1.0);
+      MultiplyTransposed(at, x, out);
+      for (size_t i = 0; i < m; ++i) {
+        std::vector<double> column(n);
+        for (size_t k = 0; k < n; ++k) {
+          column[k] = at(k, i);
+        }
+        EXPECT_EQ(Bits(out[i]), Bits(Dot(column, x))) << "n=" << n << " m=" << m << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(ProblemTest, MaxViolationIncludesBounds) {
@@ -141,6 +299,24 @@ TEST(CobylaTest, InfeasibleStartRecovers) {
   EXPECT_LE(result.max_violation, 1e-3);
   // Optimum of x0 + x1 on that disk is 2 - sqrt(2).
   EXPECT_NEAR(result.value, 2.0 - std::numbers::sqrt2, 0.1);
+}
+
+// Pins the exact trajectory of a phase-1 (infeasible model) start: any
+// change to COBYLA's floating-point operation order shows up here.
+TEST(CobylaTest, InfeasibleStartTrajectoryPinned) {
+  Problem p(2, [](std::span<const double> x) { return x[0] + x[1]; });
+  p.AddConstraint([](std::span<const double> x) {
+    return 1.0 - (x[0] - 1.0) * (x[0] - 1.0) - (x[1] - 1.0) * (x[1] - 1.0);
+  });
+  CobylaConfig config;
+  config.rho_begin = 1.0;
+  config.rho_end = 1e-6;
+  const auto result = Cobyla(p, std::vector<double>{8.0, 8.0}, config);
+  EXPECT_EQ(result.x, (std::vector<double>{0x1.1dcbf7a9ac21dp-2, 0x1.3a546659a2cc2p-2}));
+  EXPECT_EQ(result.value, 0x1.2c102f01a777p-1);
+  EXPECT_EQ(result.max_violation, 0.0);
+  EXPECT_EQ(result.evaluations, 57);
+  EXPECT_TRUE(result.converged);
 }
 
 TEST(CobylaTest, RespectsEvaluationBudget) {
